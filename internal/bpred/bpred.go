@@ -35,16 +35,39 @@ func New(geom timing.BPredGeom) *Predictor {
 		localPHT:  make([]uint16, geom.LocalPHTEntries),
 		localBHT:  make([]uint8, geom.LocalBHTEntries),
 	}
-	for i := range p.gshareBHT {
-		p.gshareBHT[i] = 1 // weakly not taken
-	}
-	for i := range p.localBHT {
-		p.localBHT[i] = 1
-	}
-	for i := range p.metaBHT {
-		p.metaBHT[i] = 2 // weakly prefer gshare
-	}
+	p.Reset()
 	return p
+}
+
+// Fill templates for Reset: counters start weakly not taken (1), the
+// meta-predictor weakly preferring gshare (2).
+var (
+	weakNotTaken = fillTemplate(1)
+	weakGShare   = fillTemplate(2)
+)
+
+func fillTemplate(v uint8) (t [4096]uint8) {
+	for i := range t {
+		t[i] = v
+	}
+	return t
+}
+
+// fill sets every counter of dst to the template's value, a chunk at a time.
+func fill(dst []uint8, template *[4096]uint8) {
+	for i := 0; i < len(dst); {
+		i += copy(dst[i:], template[:])
+	}
+}
+
+// Reset returns the predictor to the state New leaves it in, keeping its
+// tables, so a simulator can reuse one predictor of a geometry across runs.
+func (p *Predictor) Reset() {
+	p.ghist = 0
+	fill(p.gshareBHT, &weakNotTaken)
+	fill(p.localBHT, &weakNotTaken)
+	fill(p.metaBHT, &weakGShare)
+	clear(p.localPHT)
 }
 
 // Geom returns the predictor's geometry.
@@ -146,6 +169,16 @@ func NewBank(active timing.ICacheConfig) *Bank {
 		b.preds[cfg] = New(cfg.Spec().BPred)
 	}
 	return b
+}
+
+// Reset returns every geometry to its initial state and makes active the
+// one serving predictions: the bank NewBank(active) would build, reusing
+// this one's tables.
+func (b *Bank) Reset(active timing.ICacheConfig) {
+	for _, p := range b.preds {
+		p.Reset()
+	}
+	b.active = active
 }
 
 // SetActive switches which geometry serves predictions.

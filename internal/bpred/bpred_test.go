@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gals/internal/timing"
@@ -159,5 +160,22 @@ func TestBankTrainsAllGeometries(t *testing.T) {
 	b.SetActive(timing.ICache64K4W)
 	if !b.Predict(0x400700) {
 		t.Error("inactive geometry was not kept warm")
+	}
+}
+
+// TestResetEqualsNew trains every Table 2 geometry's bank and requires Reset
+// to leave exactly what NewBank builds (counters, histories, active
+// geometry), covering tables larger than Reset's fill template.
+func TestResetEqualsNew(t *testing.T) {
+	b := NewBank(timing.ICache64K4W)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		pc := uint64(rng.Intn(1<<16)) * 4
+		b.Predict(pc)
+		b.Update(pc, rng.Intn(3) != 0)
+	}
+	b.Reset(timing.ICache32K2W)
+	if want := NewBank(timing.ICache32K2W); !reflect.DeepEqual(b, want) {
+		t.Error("Reset leaves a bank different from NewBank")
 	}
 }

@@ -143,14 +143,9 @@ func New(geo Geometry) *AccountingCache {
 		panic(err)
 	}
 	c := &AccountingCache{
-		geo:      geo,
-		tags:     make([]uint64, geo.Sets*geo.Ways),
-		dirty:    make([]bool, geo.Sets*geo.Ways),
-		waysA:    geo.Ways,
-		bEnabled: false,
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+		geo:   geo,
+		tags:  make([]uint64, geo.Sets*geo.Ways),
+		dirty: make([]bool, geo.Sets*geo.Ways),
 	}
 	c.stats.PosHits = make([]uint64, geo.Ways)
 	for lb := geo.LineBytes; lb > 1; lb >>= 1 {
@@ -161,7 +156,31 @@ func New(geo Geometry) *AccountingCache {
 	} else {
 		c.setMod = uint64(geo.Sets)
 	}
+	c.Reset()
 	return c
+}
+
+// invalidTags is the fill template Reset copies over the tag array, a
+// chunk at a time.
+var invalidTags = func() (t [1024]uint64) {
+	for i := range t {
+		t[i] = invalidTag
+	}
+	return t
+}()
+
+// Reset returns the cache to the state New leaves it in — empty, clean,
+// all ways in A, no B partition, zeroed statistics — keeping its tables,
+// so a simulator can reuse one cache of a geometry across runs.
+func (c *AccountingCache) Reset() {
+	for i := 0; i < len(c.tags); {
+		i += copy(c.tags[i:], invalidTags[:])
+	}
+	clear(c.dirty)
+	clear(c.stats.PosHits)
+	c.stats = Stats{PosHits: c.stats.PosHits}
+	c.waysA = c.geo.Ways
+	c.bEnabled = false
 }
 
 // setIndex maps a line address to its set.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -296,5 +297,26 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 	// Lines 0..767 hit after warmup; 768..999 conflict with 0..231.
 	if hits := s.PosHits[0]; hits == 0 {
 		t.Error("no hits in a 768-set cache over a 1000-line footprint")
+	}
+}
+
+// TestResetEqualsNew dirties caches of a power-of-two and a modulo-indexed
+// geometry (contents, dirty bits, statistics, partitioning) and requires
+// Reset to leave exactly what New builds.
+func TestResetEqualsNew(t *testing.T) {
+	for _, geo := range []Geometry{testGeo(), {Name: "mod", Sets: 768, Ways: 2, LineBytes: 64}} {
+		c := New(geo)
+		c.Configure(1, true)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20000; i++ {
+			c.Access(uint64(rng.Intn(1<<20)), rng.Intn(3) == 0)
+		}
+		if c.Stats().Writebacks == 0 {
+			t.Fatalf("%s: workload left no dirty evictions to reset", geo.Name)
+		}
+		c.Reset()
+		if want := New(geo); !reflect.DeepEqual(c, want) {
+			t.Errorf("%s: Reset leaves a cache different from New", geo.Name)
+		}
 	}
 }

@@ -20,8 +20,12 @@ import (
 )
 
 // lockTime draws one PLL lock duration, scaled for shortened simulation
-// windows (Config.PLLScale).
+// windows (Config.PLLScale). The PLL is seeded on the first draw, so runs
+// that never reconfigure never build one; the draw sequence is the same.
 func (m *Machine) lockTime() timing.FS {
+	if m.pll == nil {
+		m.pll = clock.NewPLL(m.cfg.Seed ^ 0x9e37)
+	}
 	d := m.pll.LockTime()
 	scale := m.cfg.PLLScale
 	if scale <= 0 {
@@ -249,9 +253,10 @@ func (m *Machine) commitReconfig(a control.Reconfig, now timing.FS) {
 }
 
 // RunWorkload builds a machine for spec and cfg and runs a window of n
-// instructions on a live trace.
+// instructions on a live trace. The machine is recycled afterwards.
 func RunWorkload(spec workload.Spec, cfg Config, n int64) *Result {
-	return NewMachine(spec, cfg).Run(n)
+	res, _ := runOwned(nil, NewMachine(spec, cfg), n, 1)
+	return res
 }
 
 // RunSource builds a machine for cfg over an existing instruction source (a
@@ -259,17 +264,18 @@ func RunWorkload(spec workload.Spec, cfg Config, n int64) *Result {
 // Replaying a recording produces a Result bit-identical to RunWorkload on
 // the same spec and configuration.
 func RunSource(src InstSource, cfg Config, n int64) *Result {
-	return NewMachineSource(src, cfg).Run(n)
+	res, _ := runOwned(nil, NewMachineSource(src, cfg), n, 1)
+	return res
 }
 
 // RunWorkloadContext is RunWorkload with cooperative cancellation; see
 // Machine.RunContext for the contract.
 func RunWorkloadContext(ctx context.Context, spec workload.Spec, cfg Config, n int64) (*Result, error) {
-	return NewMachine(spec, cfg).RunContext(ctx, n)
+	return runOwned(ctx, NewMachine(spec, cfg), n, 1)
 }
 
 // RunSourceContext is RunSource with cooperative cancellation; see
 // Machine.RunContext for the contract.
 func RunSourceContext(ctx context.Context, src InstSource, cfg Config, n int64) (*Result, error) {
-	return NewMachineSource(src, cfg).RunContext(ctx, n)
+	return runOwned(ctx, NewMachineSource(src, cfg), n, 1)
 }

@@ -367,7 +367,7 @@ func TestGlobalPeriodIsSlowestStructure(t *testing.T) {
 	cfg := DefaultSync() // 64k1W I$ at 1210 MHz is the limiter
 	idx, _ := timing.SyncICacheIndexByName("64k1W")
 	cfg.SyncICache = idx
-	want := timing.PeriodFS(timing.SyncICacheSpecs()[idx].MHz)
+	want := timing.PeriodFS(timing.SyncICacheSpecAt(idx).MHz)
 	if got := cfg.GlobalPeriod(); got != want {
 		t.Errorf("global period %d, want %d (I-cache bound)", got, want)
 	}

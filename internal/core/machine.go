@@ -35,6 +35,12 @@ func newWindow(capacity int) *window {
 	return &window{buf: make([]timing.FS, capacity)}
 }
 
+// reset empties the window, as newWindow leaves it.
+func (w *window) reset() {
+	clear(w.buf)
+	w.head = 0
+}
+
 func (w *window) push(t timing.FS) {
 	h := w.head
 	w.buf[h] = t
@@ -74,6 +80,12 @@ func newFUPool(n int) *fuPool {
 		panic(fmt.Sprintf("core: fuPool size %d out of range [1, 64]", n))
 	}
 	return &fuPool{avail: make([]timing.FS, n), free: (uint64(1) << n) - 1}
+}
+
+// reset returns every unit to never-booked, as newFUPool leaves them.
+func (f *fuPool) reset() {
+	clear(f.avail)
+	f.free = (uint64(1) << len(f.avail)) - 1
 }
 
 // acquire returns the earliest start time >= t on any unit and books the
@@ -157,7 +169,9 @@ type InstSource interface {
 
 // Machine is one configured processor instance bound to one workload
 // instruction source. Create with NewMachine or NewMachineSource, drive
-// with Run.
+// with Run. A machine built by a RunWorkload*/RunSource* entry point is
+// recycled when its run ends (recycle.go); one from a NewMachine* call
+// belongs to its caller.
 type Machine struct {
 	cfg   Config
 	trace InstSource
@@ -165,13 +179,15 @@ type Machine struct {
 	clocks [clock.NumDomains]*clock.Clock
 	// syncPaths memoize Sync's per-pair period lookups between
 	// reconfigurations (indexed [producer][consumer]).
-	syncPaths [clock.NumDomains][clock.NumDomains]*clock.SyncPath
-	pll       *clock.PLL
+	syncPaths [clock.NumDomains][clock.NumDomains]clock.SyncPath
+	// pll draws PLL lock times; built on the first draw, since only
+	// reconfiguring runs ever take one.
+	pll *clock.PLL
 
 	icache *cache.AccountingCache
 	dcache *cache.AccountingCache
 	l2     *cache.AccountingCache
-	memc   *mem.Controller
+	memc   mem.Controller
 
 	bank     *bpred.Bank      // adaptive modes
 	syncPred *bpred.Predictor // synchronous mode
@@ -184,26 +200,8 @@ type Machine struct {
 	fePeriod timing.FS
 	lsPeriod timing.FS
 
-	// Structural windows.
-	rob      *window // commit times; ROBEntries
-	fetchQ   *window // rename times; FetchQueueEntries
-	intQ     *window // issue times of int-queue ops; capacity 64
-	fpQ      *window // issue times of fp-queue ops; capacity 64
-	lsq      *window // commit times of memory ops; LSQEntries
-	intRegs  *window // commit times of int-dest ops; PhysIntRegs-NumIntRegs
-	fpRegs   *window // commit times of fp-dest ops
-	fetchBW  *window // fetch group starts (1 line/cycle)
-	renameBW *window // rename grants; DecodeWidth per cycle
-	intIssue *window // issue grants; IssueWidth per cycle
-	fpIssue  *window
-	commitBW *window // commit grants; RetireWidth per cycle
-	dports   *window // D-cache port grants; DCachePorts per cycle
-	mshr     *window // outstanding-miss completion times
-
-	intFU  *fuPool // IntALU
-	intMul *fuPool
-	fpFU   *fuPool
-	fpMul  *fuPool
+	// Structural windows and functional-unit pools.
+	structures
 
 	// Register scoreboard: ready time and producing domain per logical reg.
 	regReady  [64]timing.FS
@@ -253,6 +251,65 @@ type Machine struct {
 	// par is the intra-run parallel execution state; nil during sequential
 	// runs, making every parallel gate in step() one predictable branch.
 	par *parState
+}
+
+// structures are the machine's fixed-capacity windows and functional-unit
+// pools. Their shape is the same for every configuration, so a recycled
+// machine keeps them.
+type structures struct {
+	rob      *window // commit times; ROBEntries
+	fetchQ   *window // rename times; FetchQueueEntries
+	intQ     *window // issue times of int-queue ops; capacity 64
+	fpQ      *window // issue times of fp-queue ops; capacity 64
+	lsq      *window // commit times of memory ops; LSQEntries
+	intRegs  *window // commit times of int-dest ops; PhysIntRegs-NumIntRegs
+	fpRegs   *window // commit times of fp-dest ops
+	fetchBW  *window // fetch group starts (1 line/cycle)
+	renameBW *window // rename grants; DecodeWidth per cycle
+	intIssue *window // issue grants; IssueWidth per cycle
+	fpIssue  *window
+	commitBW *window // commit grants; RetireWidth per cycle
+	dports   *window // D-cache port grants; DCachePorts per cycle
+	mshr     *window // outstanding-miss completion times
+
+	intFU  *fuPool // IntALU
+	intMul *fuPool
+	fpFU   *fuPool
+	fpMul  *fuPool
+}
+
+func newStructures() structures {
+	return structures{
+		rob:      newWindow(ROBEntries),
+		fetchQ:   newWindow(FetchQueueEntries),
+		intQ:     newWindow(64),
+		fpQ:      newWindow(64),
+		lsq:      newWindow(LSQEntries),
+		intRegs:  newWindow(PhysIntRegs - 32),
+		fpRegs:   newWindow(PhysFPRegs - 32),
+		fetchBW:  newWindow(1),
+		renameBW: newWindow(DecodeWidth),
+		intIssue: newWindow(IssueWidth),
+		fpIssue:  newWindow(IssueWidth),
+		commitBW: newWindow(RetireWidth),
+		dports:   newWindow(DCachePorts),
+		mshr:     newWindow(MSHREntries),
+		intFU:    newFUPool(IntALUs),
+		intMul:   newFUPool(IntMulDivs),
+		fpFU:     newFUPool(FPALUs),
+		fpMul:    newFUPool(FPMulDivs),
+	}
+}
+
+// reset empties every window and frees every unit.
+func (s *structures) reset() {
+	for _, w := range [...]*window{s.rob, s.fetchQ, s.intQ, s.fpQ, s.lsq, s.intRegs, s.fpRegs,
+		s.fetchBW, s.renameBW, s.intIssue, s.fpIssue, s.commitBW, s.dports, s.mshr} {
+		w.reset()
+	}
+	for _, f := range [...]*fuPool{s.intFU, s.intMul, s.fpFU, s.fpMul} {
+		f.reset()
+	}
 }
 
 // pendingReconfig is an in-flight cache-domain frequency change.
@@ -379,22 +436,18 @@ func (m *Machine) installController(ctl control.Controller) {
 	}
 }
 
-// newMachine builds the mechanism: clocks, caches, windows and pools. The
+// newMachine builds the mechanism: clocks, caches, windows and pools, on a
+// recycled machine and recycled tables when a finished run left some. The
 // PhaseAdaptive decision state is installed separately (installController).
 func newMachine(src InstSource, cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{
-		cfg:   cfg,
-		trace: src,
-		memc:  mem.New(),
-		pll:   clock.NewPLL(cfg.Seed ^ 0x9e37),
-		iCfg:  cfg.ICache,
-		dCfg:  cfg.DCache,
-		intIQ: cfg.IntIQ,
-		fpIQ:  cfg.FPIQ,
-	}
+	m := acquireMachine()
+	m.cfg = cfg
+	m.trace = src
+	m.iCfg, m.dCfg = cfg.ICache, cfg.DCache
+	m.intIQ, m.fpIQ = cfg.IntIQ, cfg.FPIQ
 
 	// Clocks.
 	if cfg.Mode == Synchronous {
@@ -415,7 +468,7 @@ func newMachine(src InstSource, cfg Config) *Machine {
 	}
 	for p := 0; p < clock.NumDomains; p++ {
 		for c := 0; c < clock.NumDomains; c++ {
-			m.syncPaths[p][c] = clock.NewSyncPath(m.clocks[p], m.clocks[c])
+			m.syncPaths[p][c] = *clock.NewSyncPath(m.clocks[p], m.clocks[c])
 		}
 	}
 	m.fePeriod = m.clocks[clock.FrontEnd].CurrentPeriod()
@@ -423,61 +476,41 @@ func newMachine(src InstSource, cfg Config) *Machine {
 
 	// Caches and predictor.
 	if cfg.Mode == Synchronous {
-		ic := timing.SyncICacheSpecs()[cfg.SyncICache]
-		m.icache = cache.New(cache.Geometry{
+		ic := timing.SyncICacheSpecAt(cfg.SyncICache)
+		m.icache = acquireCache(cache.Geometry{
 			Name: "L1I", Sets: ic.SizeKB * 1024 / LineBytes / ic.Assoc,
 			Ways: ic.Assoc, LineBytes: LineBytes,
 		})
 		ds := cfg.DCache.Spec()
-		m.dcache = cache.New(cache.Geometry{
+		m.dcache = acquireCache(cache.Geometry{
 			Name: "L1D", Sets: ds.L1SizeKB * 1024 / LineBytes / ds.Assoc,
 			Ways: ds.Assoc, LineBytes: LineBytes,
 		})
-		m.l2 = cache.New(cache.Geometry{
+		m.l2 = acquireCache(cache.Geometry{
 			Name: "L2", Sets: ds.L2SizeKB * 1024 / L2LineBytes / ds.Assoc,
 			Ways: ds.Assoc, LineBytes: L2LineBytes,
 		})
-		m.syncPred = bpred.New(ic.BPred)
+		m.syncPred = acquirePredictor(ic.BPred)
 	} else {
 		// Adaptive geometry: physically maximal, partitioned by ways; the
 		// sets-resized front-end variant is direct mapped at the selected
 		// set count instead.
 		if cfg.ICacheBySets {
 			ss := cfg.ICache.SetsSpec()
-			m.icache = cache.New(cache.Geometry{Name: "L1I", Sets: ss.Sets, Ways: 1, LineBytes: LineBytes})
+			m.icache = acquireCache(cache.Geometry{Name: "L1I", Sets: ss.Sets, Ways: 1, LineBytes: LineBytes})
 		} else {
-			m.icache = cache.New(cache.Geometry{Name: "L1I", Sets: 16 * 1024 / LineBytes, Ways: 4, LineBytes: LineBytes})
+			m.icache = acquireCache(cache.Geometry{Name: "L1I", Sets: 16 * 1024 / LineBytes, Ways: 4, LineBytes: LineBytes})
 		}
-		m.dcache = cache.New(cache.Geometry{Name: "L1D", Sets: 32 * 1024 / LineBytes, Ways: 8, LineBytes: LineBytes})
-		m.l2 = cache.New(cache.Geometry{Name: "L2", Sets: 256 * 1024 / L2LineBytes, Ways: 8, LineBytes: L2LineBytes})
+		m.dcache = acquireCache(cache.Geometry{Name: "L1D", Sets: 32 * 1024 / LineBytes, Ways: 8, LineBytes: LineBytes})
+		m.l2 = acquireCache(cache.Geometry{Name: "L2", Sets: 256 * 1024 / L2LineBytes, Ways: 8, LineBytes: L2LineBytes})
 		ab := cfg.Mode == PhaseAdaptive
 		if !cfg.ICacheBySets {
 			m.icache.Configure(int(cfg.ICache)+1, ab)
 		}
 		m.dcache.Configure(dcacheWaysA(cfg.DCache), ab)
 		m.l2.Configure(dcacheWaysA(cfg.DCache), ab)
-		m.bank = bpred.NewBank(cfg.ICache)
+		m.bank = acquireBank(cfg.ICache)
 	}
-
-	// Windows and pools.
-	m.rob = newWindow(ROBEntries)
-	m.fetchQ = newWindow(FetchQueueEntries)
-	m.intQ = newWindow(64)
-	m.fpQ = newWindow(64)
-	m.lsq = newWindow(LSQEntries)
-	m.intRegs = newWindow(PhysIntRegs - 32)
-	m.fpRegs = newWindow(PhysFPRegs - 32)
-	m.fetchBW = newWindow(1)
-	m.renameBW = newWindow(DecodeWidth)
-	m.intIssue = newWindow(IssueWidth)
-	m.fpIssue = newWindow(IssueWidth)
-	m.commitBW = newWindow(RetireWidth)
-	m.dports = newWindow(DCachePorts)
-	m.mshr = newWindow(MSHREntries)
-	m.intFU = newFUPool(IntALUs)
-	m.intMul = newFUPool(IntMulDivs)
-	m.fpFU = newFUPool(FPALUs)
-	m.fpMul = newFUPool(FPMulDivs)
 
 	return m
 }

@@ -678,21 +678,23 @@ func (m *Machine) runParallel(ctx context.Context, n int64, degree int) (*Result
 
 // RunWorkloadParallel is RunWorkload with intra-run parallelism.
 func RunWorkloadParallel(spec workload.Spec, cfg Config, n int64, degree int) *Result {
-	return NewMachine(spec, cfg).RunParallel(n, degree)
+	res, _ := runOwned(nil, NewMachine(spec, cfg), n, degree)
+	return res
 }
 
 // RunSourceParallel is RunSource with intra-run parallelism.
 func RunSourceParallel(src InstSource, cfg Config, n int64, degree int) *Result {
-	return NewMachineSource(src, cfg).RunParallel(n, degree)
+	res, _ := runOwned(nil, NewMachineSource(src, cfg), n, degree)
+	return res
 }
 
 // RunWorkloadParallelContext is RunWorkloadContext with intra-run
 // parallelism.
 func RunWorkloadParallelContext(ctx context.Context, spec workload.Spec, cfg Config, n int64, degree int) (*Result, error) {
-	return NewMachine(spec, cfg).RunParallelContext(ctx, n, degree)
+	return runOwned(ctx, NewMachine(spec, cfg), n, degree)
 }
 
 // RunSourceParallelContext is RunSourceContext with intra-run parallelism.
 func RunSourceParallelContext(ctx context.Context, src InstSource, cfg Config, n int64, degree int) (*Result, error) {
-	return NewMachineSource(src, cfg).RunParallelContext(ctx, n, degree)
+	return runOwned(ctx, NewMachineSource(src, cfg), n, degree)
 }

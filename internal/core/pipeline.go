@@ -54,7 +54,7 @@ func (m *Machine) mispredictPenalties() (int, int) {
 // front-end configuration.
 func (m *Machine) icacheLatencies() (int, int) {
 	if m.cfg.Mode == Synchronous {
-		return timing.SyncICacheSpecs()[m.cfg.SyncICache].ALat, 0
+		return timing.SyncICacheSpecAt(m.cfg.SyncICache).ALat, 0
 	}
 	if m.cfg.ICacheBySets {
 		return m.iCfg.SetsSpec().ALat, 0

@@ -362,7 +362,8 @@ func (t *Telemetry) EventsByStructure() map[string]int64 {
 func RunWorkloadTelemetry(spec workload.Spec, cfg Config, n int64, t *Telemetry) *Result {
 	m := NewMachine(spec, cfg)
 	m.SetTelemetry(t)
-	return m.Run(n)
+	res, _ := runOwned(nil, m, n, 1)
+	return res
 }
 
 // RunWorkloadTelemetryContext is RunWorkloadTelemetry with cooperative
@@ -370,7 +371,7 @@ func RunWorkloadTelemetry(spec workload.Spec, cfg Config, n int64, t *Telemetry)
 func RunWorkloadTelemetryContext(ctx context.Context, spec workload.Spec, cfg Config, n int64, degree int, t *Telemetry) (*Result, error) {
 	m := NewMachine(spec, cfg)
 	m.SetTelemetry(t)
-	return m.RunParallelContext(ctx, n, degree)
+	return runOwned(ctx, m, n, degree)
 }
 
 // RunSourceTelemetryContext is RunWorkloadTelemetryContext over an existing
@@ -378,5 +379,5 @@ func RunWorkloadTelemetryContext(ctx context.Context, spec workload.Spec, cfg Co
 func RunSourceTelemetryContext(ctx context.Context, src InstSource, cfg Config, n int64, degree int, t *Telemetry) (*Result, error) {
 	m := NewMachineSource(src, cfg)
 	m.SetTelemetry(t)
-	return m.RunParallelContext(ctx, n, degree)
+	return runOwned(ctx, m, n, degree)
 }

@@ -250,6 +250,14 @@ func SyncICacheSpecs() []SyncICacheSpec {
 	return out
 }
 
+// NumSyncICacheConfigs returns the number of Table 3 rows.
+func NumSyncICacheConfigs() int { return len(syncICacheSpecs) }
+
+// SyncICacheSpecAt returns Table 3 row i without copying the table: the
+// form for per-instruction and per-machine lookups, where SyncICacheSpecs'
+// copy of all rows would dominate.
+func SyncICacheSpecAt(i int) SyncICacheSpec { return syncICacheSpecs[i] }
+
 // SyncICacheIndexByName finds a Table 3 row by its compact label.
 func SyncICacheIndexByName(name string) (int, bool) {
 	for i, s := range syncICacheSpecs {

@@ -99,10 +99,10 @@ func (s Spec) RecordToContext(ctx context.Context, w io.Writer, n int64) error {
 }
 
 // RecordingFromEncoded wraps an encoded slab (produced by RecordTo) as a
-// replayable Recording without decoding it up front: replays decode on the
-// fly in small chunks, so an mmap'd slab costs file-backed pages plus one
-// chunk buffer per replay cursor. raw must hold a whole number of encoded
-// instructions and must not be mutated afterwards.
+// replayable Recording without decoding it up front: replays decode each
+// instruction as they read it, so an mmap'd slab costs its file-backed
+// pages and nothing per replay cursor. raw must hold a whole number of
+// encoded instructions and must not be mutated afterwards.
 func RecordingFromEncoded(spec Spec, raw []byte) (*Recording, error) {
 	if len(raw) == 0 || len(raw)%EncodedInstSize != 0 {
 		return nil, fmt.Errorf("workload: encoded slab of %d bytes is not a whole number of %d-byte instructions", len(raw), EncodedInstSize)

@@ -80,14 +80,10 @@ func (r *Recording) Spec() Spec { return r.spec }
 // Len returns the number of recorded instructions.
 func (r *Recording) Len() int64 { return r.count }
 
-// Replay returns a fresh cursor over the recording. Replays are cheap;
-// create one per simulation run.
+// Replay returns a fresh cursor over the recording. Replays are cheap (a
+// cursor is a few words, whatever the recording's length); create one per
+// simulation run.
 func (r *Recording) Replay() *Replay { return &Replay{rec: r} }
-
-// replayChunk is the number of instructions a raw-backed replay decodes at
-// a time: large enough to amortize the decode loop, small enough that a
-// worker's cursor costs ~20 KB regardless of the recording's length.
-const replayChunk = 512
 
 // Replay streams a Recording from the beginning. Reading past the recorded
 // window falls back to live generation (the generator is deterministic, so
@@ -98,11 +94,6 @@ type Replay struct {
 	rec  *Recording
 	pos  int64
 	tail *Trace
-
-	// Decode window over a raw-backed slab: buf holds instructions
-	// [bufStart, bufStart+len(buf)).
-	buf      []isa.Inst
-	bufStart int64
 }
 
 // Spec returns the benchmark description.
@@ -119,10 +110,7 @@ func (p *Replay) Next(in *isa.Inst) {
 			p.pos++
 			return
 		}
-		if p.pos >= p.bufStart+int64(len(p.buf)) || p.pos < p.bufStart {
-			p.fill()
-		}
-		*in = p.buf[p.pos-p.bufStart]
+		decodeInst(p.rec.raw[p.pos*EncodedInstSize:], in)
 		p.pos++
 		return
 	}
@@ -135,23 +123,6 @@ func (p *Replay) Next(in *isa.Inst) {
 	}
 	p.pos++
 	p.tail.Next(in)
-}
-
-// fill decodes the next chunk of a raw-backed slab at the cursor.
-func (p *Replay) fill() {
-	n := p.rec.count - p.pos
-	if n > replayChunk {
-		n = replayChunk
-	}
-	if p.buf == nil {
-		p.buf = make([]isa.Inst, replayChunk)
-	}
-	p.buf = p.buf[:n]
-	src := p.rec.raw[p.pos*EncodedInstSize:]
-	for i := range p.buf {
-		decodeInst(src[i*EncodedInstSize:], &p.buf[i])
-	}
-	p.bufStart = p.pos
 }
 
 // Backing supplies recordings from somewhere other than live generation —
